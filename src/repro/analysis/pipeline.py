@@ -32,13 +32,18 @@ from __future__ import annotations
 
 import datetime
 import pathlib
-from typing import Iterable
+from typing import Collection, Iterable
 
 from repro.core.detection import detect_with_index
 from repro.core.domainsets import PrefixDomainIndex, build_index
 from repro.core.siblings import SiblingSet
 from repro.core.sptuner import SpTunerMS, TunerConfig
-from repro.core.substrate import ColumnarSubstrate, Substrate, get_substrate
+from repro.core.substrate import (
+    ColumnarSubstrate,
+    Substrate,
+    get_substrate,
+    intern_names,
+)
 from repro.dates import add_months
 from repro.obs.tracing import trace
 from repro.synth.universe import Universe
@@ -167,14 +172,10 @@ class _StandalonePool:
         self.names = list(names)
         self._gids = {name: gid for gid, name in enumerate(self.names)}
 
-    def intern(self, name: str) -> int:
-        """The pool gid for *name*, allocated on first sight."""
-        gid = self._gids.get(name)
-        if gid is None:
-            gid = len(self.names)
-            self._gids[name] = gid
-            self.names.append(name)
-        return gid
+    def intern_all(self, names: Collection[str]) -> list[int]:
+        """Pool gids for *names*, new ones allocated in sorted order
+        (mirrors the substrate API)."""
+        return intern_names(names, self._gids, self.names)
 
     def export_pool(self) -> list[str]:
         """Snapshot of the pool, gid order (mirrors the substrate API)."""
@@ -236,7 +237,7 @@ def _append_archive(
             ):
                 continue
             segments, siblings_meta = substrate_io.siblings_segments(
-                siblings, pool.intern
+                siblings, pool.intern_all
             )
             siblings_meta["raw"] = raw
             published = (published_by_date or {}).get(date)
@@ -398,16 +399,17 @@ def archive_detection(
         with ArchiveReader.open(path) as reader:
             pool_names = reader.pool_names()
     engine, pool = _pool_for_archive(engine, pool_names)
-    _append_archive(
-        path,
-        universe,
-        [(date, siblings)],
-        pool,
-        engine,
-        index,
-        published_by_date={date: published} if published is not None else None,
-        raw=raw,
-    )
+    with trace("archive.detection"):
+        _append_archive(
+            path,
+            universe,
+            [(date, siblings)],
+            pool,
+            engine,
+            index,
+            published_by_date={date: published} if published is not None else None,
+            raw=raw,
+        )
     return path
 
 

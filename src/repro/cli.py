@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from repro.core.kernels import (
     KernelUnavailableError,
@@ -384,12 +384,28 @@ def _print_stage_stats() -> None:
     print(stage_table(get_registry().snapshot()), file=sys.stderr)
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with one stderr line: the CLI's answer to a bad argument."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _scenario_config(name: str):
+    """The scenario preset *name*, or a usage error naming the presets."""
+    from repro.synth.scenarios import scenario
+
+    try:
+        return scenario(name)
+    except KeyError as exc:
+        _usage_error(exc.args[0])
+
+
 def _parse_thresholds(text: str) -> TunerConfig:
     try:
         v4_text, v6_text = text.split(",")
         return TunerConfig(v4_threshold=int(v4_text), v6_threshold=int(v6_text))
     except (ValueError, TypeError) as exc:
-        raise SystemExit(f"invalid --tune value {text!r}: {exc}")
+        _usage_error(f"invalid --tune value {text!r}: {exc}")
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -398,16 +414,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     from repro import publish
     from repro.synth import build_universe
 
-    universe = build_universe(args.scenario)
+    # Every argument is checked before the universe is generated.
+    config = _scenario_config(args.scenario)
+    tuner = _parse_thresholds(args.tune) if args.tune else None
+    if not 0.0 <= args.min_jaccard <= 1.0:
+        _usage_error(f"--min-jaccard must be within [0, 1], got {args.min_jaccard}")
+
+    universe = build_universe(config)
     siblings, index = detect_with_index(
         universe.snapshot_at(REFERENCE_DATE),
         universe.annotator_at(REFERENCE_DATE),
         substrate=args.substrate,
         workers=args.workers,
     )
-    if args.tune:
-        config = _parse_thresholds(args.tune)
-        siblings = SpTunerMS(index, config).tune_all(siblings)
+    if tuner is not None:
+        siblings = SpTunerMS(index, tuner).tune_all(siblings)
     if args.min_jaccard > 0.0:
         siblings = SiblingSet(
             siblings.date,
@@ -503,7 +524,7 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
         )
         labelled = offsets_fn(REFERENCE_DATE)
         label_of = {date: label for label, date in labelled}
-        universe = build_universe(args.scenario)
+        universe = build_universe(_scenario_config(args.scenario))
         dates = [date for _, date in labelled]
     series = detect_series(
         universe,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import abc
 from array import array
-from typing import ClassVar, Iterable, NamedTuple
+from typing import ClassVar, Collection, Iterable, NamedTuple
 
 from repro.core.detection import (
     TIE_EPSILON,
@@ -176,7 +176,7 @@ class _ColumnarState:
         "_v6_gid_sets",
     )
 
-    def __init__(self, index: PrefixDomainIndex, intern_domain) -> None:
+    def __init__(self, index: PrefixDomainIndex, intern_all) -> None:
         # Dense per-snapshot rows for each family's prefixes.  The row,
         # not the prefix object, is what Step 3 packs into its keys.
         self.v4_prefixes: list[Prefix] = list(index.v4_domains)
@@ -225,10 +225,10 @@ class _ColumnarState:
         # Per-prefix domain posting lists in CSR layout: sorted global
         # domain ids, one flat array + offsets per family.
         self.v4_post_data, self.v4_post_offsets = _build_csr(
-            index.v4_domains.values(), intern_domain
+            index.v4_domains.values(), intern_all
         )
         self.v6_post_data, self.v6_post_offsets = _build_csr(
-            index.v6_domains.values(), intern_domain
+            index.v6_domains.values(), intern_all
         )
         # Lazy per-row frozensets of domain ids, built on first
         # materialization of a surviving pair.
@@ -290,15 +290,33 @@ class _ColumnarState:
 
 
 def _build_csr(
-    domain_sets: Iterable[set[str]], intern_domain
+    domain_sets: Iterable[set[str]], intern_all
 ) -> tuple[array, array]:
     """Sorted posting lists for an iterable of domain sets, CSR layout."""
     data = array("I")
     offsets = array("I", [0])
     for domains in domain_sets:
-        data.extend(sorted(map(intern_domain, domains)))
+        data.extend(sorted(intern_all(domains)))
         offsets.append(len(data))
     return data, offsets
+
+
+def intern_names(
+    names: Collection[str], gid_of: dict[str, int], pool: list[str]
+) -> list[int]:
+    """Pool gids for *names*, allocating the ones the pool lacks.
+
+    *pool* lists names in gid order and *gid_of* inverts it.  Names new
+    to the pool are allocated in sorted order, so the pool (and every
+    gid an archive records) never depends on set iteration order, which
+    ``PYTHONHASHSEED`` salts.  Names already pooled are not sorted.
+    """
+    new = [name for name in names if name not in gid_of]
+    for name in sorted(new):
+        if name not in gid_of:
+            gid_of[name] = len(pool)
+            pool.append(name)
+    return [gid_of[name] for name in names]
 
 
 def accumulate_rowlists(dom_bases, dom_rows) -> PairCounts:
@@ -368,6 +386,11 @@ class ColumnarSubstrate(Substrate):
         """How many distinct domains this pool has seen (all snapshots)."""
         return len(self._domain_names)
 
+    def intern_all(self, domains: Collection[str]) -> list[int]:
+        """Dense ids for *domains*, new ones allocated in sorted order
+        (see :func:`intern_names`)."""
+        return intern_names(domains, self._domain_gids, self._domain_names)
+
     def intern(self, domain: str) -> int:
         """Public interning hook: the dense pool gid for *domain*.
 
@@ -426,7 +449,7 @@ class ColumnarSubstrate(Substrate):
         This is the Steps 1-2 conversion cost; :meth:`prepare` caches the
         result on the index so repeated Step 3 runs don't pay it again.
         """
-        return _ColumnarState(index, self._intern_domain)
+        return _ColumnarState(index, self.intern_all)
 
     @staticmethod
     def _fingerprint(index: PrefixDomainIndex) -> tuple[int, ...]:
@@ -586,17 +609,17 @@ class ColumnarSubstrate(Substrate):
         # this state never saw; allocating keeps the patch total, and the
         # fingerprint cross-check in prepare() decides whether the
         # patched state is actually usable.
-        intern = self._intern_domain
+        intern_all = self.intern_all
         for prefix in touched_v4:
             row = state.v4_base_for(prefix) >> 32
             members = index.v4_domains.get(prefix, ())
             state.v4_sizes[row] = len(members)
-            state._v4_gid_sets[row] = frozenset(map(intern, members))
+            state._v4_gid_sets[row] = frozenset(intern_all(members))
         for prefix in touched_v6:
             row = state.v6_row_for(prefix)
             members = index.v6_domains.get(prefix, ())
             state.v6_sizes[row] = len(members)
-            state._v6_gid_sets[row] = frozenset(map(intern, members))
+            state._v6_gid_sets[row] = frozenset(intern_all(members))
 
         counts = state.counts
         if counts is None:

@@ -13,14 +13,47 @@ import hashlib
 import struct
 from typing import Sequence
 
+_blake2b = hashlib.blake2b
+_unpack_u64 = struct.Struct("<Q").unpack
+
+
+def key_bytes(*parts: object) -> bytes:
+    """The hash input for the argument tuple: per part, ``repr(part)`` as
+    UTF-8 followed by a 0x1F field-separator byte (so ``("ab", "c")`` and
+    ``("a", "bc")`` differ)."""
+    if not parts:
+        return b""
+    return "\x1f".join(map(repr, parts)).encode("utf-8") + b"\x1f"
+
 
 def stable_hash(*parts: object) -> int:
     """A deterministic 64-bit hash of the argument tuple."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")  # field separator so ("ab","c") != ("a","bc")
-    return struct.unpack("<Q", h.digest())[0]
+    return _unpack_u64(_blake2b(key_bytes(*parts), digest_size=8).digest())[0]
+
+
+def stable_prefix(*parts: object) -> hashlib.blake2b:
+    """A hash state keyed on the leading *parts* of a key tuple.
+
+    BLAKE2b over a stream equals BLAKE2b over the concatenated bytes, so
+    ``stable_hash_from(stable_prefix(*a), key_bytes(*b))`` equals
+    ``stable_hash(*a, *b)``; callers that hash many keys sharing a prefix
+    build the prefix state once and pay only for each suffix.
+
+    >>> prefix = stable_prefix(7, "adopt", "example.com")
+    >>> stable_hash_from(prefix, key_bytes(2021, 5)) == stable_hash(
+    ...     7, "adopt", "example.com", 2021, 5
+    ... )
+    True
+    """
+    return _blake2b(key_bytes(*parts), digest_size=8)
+
+
+def stable_hash_from(prefix: hashlib.blake2b, suffix: bytes) -> int:
+    """:func:`stable_hash` of a :func:`stable_prefix` key extended by
+    *suffix* (the :func:`key_bytes` of the remaining parts)."""
+    state = prefix.copy()
+    state.update(suffix)
+    return _unpack_u64(state.digest())[0]
 
 
 def stable_uniform(*parts: object) -> float:

@@ -56,7 +56,7 @@ def validate_name(name: str) -> str:
             raise ValueError(f"invalid label {label!r} in {name!r}")
         if label[0] == "-" or label[-1] == "-":
             raise ValueError(f"label may not start/end with '-': {name!r}")
-        if any(ch not in _LDH for ch in label):
+        if not _LDH.issuperset(label):
             raise ValueError(f"non-LDH character in {name!r}")
     return normalized
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import bisect
 import datetime
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
@@ -67,23 +67,39 @@ class VrpSet:
 
 
 class RpkiRepository:
-    """Monthly VRP-set snapshots, addressable by date."""
+    """Monthly VRP-set snapshots, addressable by date.
+
+    A snapshot is added either built (:meth:`add_snapshot`) or as a
+    function that builds it (:meth:`add_snapshot_builder`); the latter
+    runs on the snapshot's first lookup, so a reader of one month never
+    pays for the others.
+    """
 
     def __init__(self):
         self._dates: list[datetime.date] = []
         self._sets: dict[datetime.date, VrpSet] = {}
+        self._builders: dict[datetime.date, Callable[[], VrpSet]] = {}
 
     def add_snapshot(self, date: datetime.date, vrps: VrpSet) -> None:
-        if date in self._sets:
+        self.add_snapshot_builder(date, lambda: vrps)
+
+    def add_snapshot_builder(
+        self, date: datetime.date, build: Callable[[], VrpSet]
+    ) -> None:
+        if date in self._builders or date in self._sets:
             raise ValueError(f"duplicate RPKI snapshot for {date}")
-        self._sets[date] = vrps
+        self._builders[date] = build
         bisect.insort(self._dates, date)
 
     def at(self, date: datetime.date) -> VrpSet:
         index = bisect.bisect_right(self._dates, date)
         if index == 0:
             raise LookupError(f"no RPKI snapshot at or before {date}")
-        return self._sets[self._dates[index - 1]]
+        snapshot_date = self._dates[index - 1]
+        vrps = self._sets.get(snapshot_date)
+        if vrps is None:
+            vrps = self._sets[snapshot_date] = self._builders.pop(snapshot_date)()
+        return vrps
 
     def validate(
         self, announcement: Prefix, origin: int, date: datetime.date

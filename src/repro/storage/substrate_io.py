@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from repro.core.kernels import get_kernel
 from repro.core.siblings import SiblingPair, SiblingSet
@@ -113,12 +113,12 @@ def annotator_digest(annotator) -> str:
 
 
 def siblings_segments(
-    siblings: SiblingSet, intern: Callable[[str], int]
+    siblings: SiblingSet, intern_all: Callable[[Collection[str]], list[int]]
 ) -> tuple[dict, dict]:
     """Encode one detection result into archive segments.
 
-    *intern* maps a domain name to its pool gid (the columnar
-    substrate's intern function, or a standalone pool for the
+    *intern_all* maps domain names to their pool gids (the columnar
+    substrate's ``intern_all``, or a standalone pool's for the
     reference engine); every shared domain is interned so the caller's
     pool — which it must persist via
     :meth:`~repro.storage.archive.ArchiveWriter.append_pool` — covers
@@ -137,7 +137,7 @@ def siblings_segments(
             pair.v4_domain_count,
             pair.v6_domain_count,
         )
-        gid_lists.append(sorted(intern(domain) for domain in pair.shared_domains))
+        gid_lists.append(sorted(intern_all(pair.shared_domains)))
     gids_data, gids_offsets = _csr(gid_lists, "I")
     segments = {
         "siblings.records": bytes(records),

@@ -25,12 +25,16 @@ every figure in the paper:
 
 from __future__ import annotations
 
+import bisect
 import datetime
 from dataclasses import dataclass, field
 
 from repro.dates import STUDY_END, STUDY_START, month_range, second_wednesday
 from repro.determinism import (
+    key_bytes,
     stable_hash,
+    stable_hash_from,
+    stable_prefix,
     stable_sample_count,
     stable_uniform,
     stable_weighted_choice,
@@ -57,6 +61,19 @@ from repro.synth.topology import (
 
 #: A pre-window date for infrastructure announced before the study.
 EARLY_DATE = datetime.date(2018, 1, 1)
+
+#: The study's (year, month)s, and the 28th of each (a ONESHOT domain
+#: can appear in a month only if it exists by then).
+_STUDY_MONTHS: tuple[tuple[int, int], ...] = tuple(month_range(STUDY_START, STUDY_END))
+_STUDY_MONTH_28THS: tuple[datetime.date, ...] = tuple(
+    datetime.date(y, m, 28) for y, m in _STUDY_MONTHS
+)
+
+#: Per study month: the adoption date it yields and the hash-key suffix
+#: of its draw (see :meth:`_ServiceBuilder._ds_adoption_date`).
+_ADOPTION_DRAWS: tuple[tuple[datetime.date, bytes], ...] = tuple(
+    (second_wednesday(y, m), key_bytes(y, m)) for y, m in _STUDY_MONTHS
+)
 
 #: Months in which the monitoring domain is absent from the DNS data
 #: (the paper observes gaps in 2021, 2022, and May 2023).
@@ -499,24 +516,21 @@ class _ServiceBuilder:
         return frozenset({primary})
 
     def _oneshot_month(self, name: str, created: datetime.date) -> tuple[int, int]:
-        months = [
-            (y, m)
-            for y, m in month_range(STUDY_START, STUDY_END)
-            if datetime.date(y, m, 28) >= created
-        ]
-        if not months:
-            months = [STUDY_END]
+        first = bisect.bisect_left(_STUDY_MONTH_28THS, created)
+        months = _STUDY_MONTHS[first:] or (STUDY_END,)
         return months[stable_hash(self.seed, "oneshot", name) % len(months)]
 
     def _ds_adoption_date(self, name: str) -> datetime.date | None:
         """First month a single-stack domain publishes AAAA; None = never.
-        (Returned as date.max sentinel-free: caller stores date or None.)"""
-        for year, month in month_range(STUDY_START, STUDY_END):
-            if (
-                stable_uniform(self.seed, "adopt", name, year, month)
-                < self.config.ds_adoption_monthly
-            ):
-                return second_wednesday(year, month)
+        (Returned as date.max sentinel-free: caller stores date or None.)
+
+        Month by month this is ``stable_uniform(seed, "adopt", name, y, m)
+        < ds_adoption_monthly``, with the key prefix hashed once."""
+        prefix = stable_prefix(self.seed, "adopt", name)
+        monthly = self.config.ds_adoption_monthly
+        for adopted, suffix in _ADOPTION_DRAWS:
+            if stable_hash_from(prefix, suffix) / 2**64 < monthly:
+                return adopted
         return None
 
     def _add_domain(self, spec: DomainSpec) -> None:

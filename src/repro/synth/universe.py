@@ -20,18 +20,26 @@ deterministically per domain so any date can be queried in any order.
 from __future__ import annotations
 
 import datetime
+import functools
 from typing import Iterator
 
 from repro.bgp.rib import Rib
 from repro.bgp.routeviews import PrefixAnnotator
 from repro.dates import REFERENCE_DATE, month_range
-from repro.determinism import stable_hash, stable_uniform
+from repro.determinism import (
+    key_bytes,
+    stable_hash,
+    stable_hash_from,
+    stable_prefix,
+    stable_uniform,
+)
 from repro.dns.openintel import DnsSnapshot, SnapshotSeries
 from repro.dns.records import ResourceRecord
 from repro.dns.toplists import FR_CCTLD_ADDED, ToplistSchedule
 from repro.dns.zone import Zone
 from repro.nettypes.addr import IPV4, IPV6
 from repro.nettypes.prefix import Prefix
+from repro.obs.tracing import trace
 from repro.orgs.as2org import As2Org
 from repro.orgs.asdb import AsdbDataset
 from repro.orgs.hypergiants import HgCdnRegistry
@@ -50,8 +58,17 @@ from repro.synth.services import (
 )
 from repro.synth.topology import Population, build_population
 
-#: Churn events are sampled over this month window.
+#: Churn events are sampled over this month window, and strike on the
+#: 15th of the month drawn.
 _CHURN_WINDOW: tuple[tuple[int, int], tuple[int, int]] = ((2018, 1), (2024, 12))
+_CHURN_DATES: tuple[datetime.date, ...] = tuple(
+    datetime.date(y, m, 15) for y, m in month_range(*_CHURN_WINDOW)
+)
+
+#: Hash-key suffixes of a churn schedule's draws: the event count, then
+#: one month index per event.
+_COUNT_SUFFIX = key_bytes("count")
+_index_suffix = functools.cache(key_bytes)
 
 
 class _SmallCache:
@@ -76,8 +93,10 @@ class Universe:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.population: Population = build_population(config)
-        self.fabric: ServiceFabric = build_services(config, self.population)
+        with trace("synth.population"):
+            self.population: Population = build_population(config)
+        with trace("synth.services"):
+            self.fabric: ServiceFabric = build_services(config, self.population)
         self.schedule = ToplistSchedule()
         self.reference_date = REFERENCE_DATE
 
@@ -129,21 +148,18 @@ class Universe:
         cached = self._churn_cache.get(key)
         if cached is not None:
             return cached
-        months = list(month_range(*_CHURN_WINDOW))
-        expected = monthly_probability * len(months)
+        # Each draw hashes (seed, kind, name, family, <"count" | index>).
+        prefix = stable_prefix(self.config.seed, kind, name, family)
+        months = len(_CHURN_DATES)
+        expected = monthly_probability * months
         count = int(expected)
-        if stable_uniform(self.config.seed, kind, name, family, "count") < (
-            expected - count
-        ):
+        if stable_hash_from(prefix, _COUNT_SUFFIX) / 2**64 < expected - count:
             count += 1
-        picks: set[int] = set()
-        for index in range(count):
-            picks.add(
-                stable_hash(self.config.seed, kind, name, family, index) % len(months)
-            )
-        dates = sorted(
-            datetime.date(months[i][0], months[i][1], 15) for i in picks
-        )
+        picks = {
+            stable_hash_from(prefix, _index_suffix(index)) % months
+            for index in range(count)
+        }
+        dates = [_CHURN_DATES[i] for i in sorted(picks)]
         self._churn_cache[key] = dates
         return dates
 
@@ -285,6 +301,12 @@ class Universe:
         cached = self._zone_cache.get(when)
         if cached is not None:
             return cached
+        with trace("synth.zone"):
+            zone = self._build_zone(when)
+        self._zone_cache.put(when, zone)
+        return zone
+
+    def _build_zone(self, when: datetime.date) -> Zone:
         zone = Zone()
         exchange_cache: dict[int, list[str]] = {}
         for spec in self.fabric.domains.values():
@@ -317,7 +339,6 @@ class Universe:
                 zone.add(ResourceRecord.a(monitoring.domain, address))
             for _, _, address in monitoring.v6_placements:
                 zone.add(ResourceRecord.aaaa(monitoring.domain, address))
-        self._zone_cache.put(when, zone)
         return zone
 
     # -- query set ------------------------------------------------------------------------
@@ -361,9 +382,11 @@ class Universe:
         cached = self._snapshot_cache.get(when)
         if cached is not None:
             return cached
-        snapshot = DnsSnapshot.measure(
-            self.zone_at(when), self.queried_names_at(when), when
-        )
+        zone = self.zone_at(when)
+        # The zone has a span of its own; this one is the query set and
+        # the measurement run.
+        with trace("synth.snapshot"):
+            snapshot = DnsSnapshot.measure(zone, self.queried_names_at(when), when)
         self._snapshot_cache.put(when, snapshot)
         return snapshot
 
@@ -378,14 +401,15 @@ class Universe:
         if cached is not None:
             return cached
         rib = Rib()
-        for announcement in self.fabric.announcements:
-            if announcement.announced > when:
-                continue
-            org = self.population.org(announcement.org_id)
-            rib.announce(
-                announcement.prefix,
-                org.asn_for_family(announcement.prefix.version),
-            )
+        with trace("synth.rib"):
+            for announcement in self.fabric.announcements:
+                if announcement.announced > when:
+                    continue
+                org = self.population.org(announcement.org_id)
+                rib.announce(
+                    announcement.prefix,
+                    org.asn_for_family(announcement.prefix.version),
+                )
         self._rib_cache[key] = rib
         return rib
 

@@ -1,6 +1,10 @@
 """Tests for the published-list format and the CLI."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +13,20 @@ from repro.analysis.pipeline import detect_at
 from repro.cli import main
 from repro.dates import REFERENCE_DATE
 from repro.nettypes.prefix import Prefix
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_cli(argv, **env):
+    """``python -m repro *argv*`` in a child process (so exit status and
+    stderr are exactly what a shell user sees)."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR), **env},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +153,48 @@ class TestCli:
     def test_bad_tune_value(self):
         with pytest.raises(SystemExit):
             main(["detect", "--tune", "nonsense"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scenario", "nope"], "unknown scenario 'nope'"),
+            (["--tune", "abc"], "invalid --tune value 'abc'"),
+            (["--tune", "28"], "invalid --tune value '28'"),
+            (["--min-jaccard", "7"], "--min-jaccard must be within [0, 1]"),
+            (["--min-jaccard", "-0.5"], "--min-jaccard must be within [0, 1]"),
+            (["--min-jaccard", "nan"], "--min-jaccard must be within [0, 1]"),
+        ],
+    )
+    def test_detect_usage_error_exits_2_with_one_line(self, argv, message):
+        result = _run_cli(["detect", *argv])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+
+    def test_detect_series_unknown_scenario_exits_2(self):
+        result = _run_cli(["detect-series", "--scenario", "nope"])
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "unknown scenario 'nope'" in result.stderr
+
+    def test_archive_bytes_independent_of_hash_seed(self, tmp_path):
+        """Two runs that differ only in ``PYTHONHASHSEED`` (which salts
+        set iteration order) write byte-identical archives."""
+        archives = []
+        for seed in ("1", "2"):
+            archive = tmp_path / f"seed{seed}.sparch"
+            result = _run_cli(
+                [
+                    "detect", "--scenario", "tiny", "--archive", str(archive),
+                    "--format", "csv", "-o", str(tmp_path / f"seed{seed}.csv"),
+                ],
+                PYTHONHASHSEED=seed,
+            )
+            assert result.returncode == 0, result.stderr
+            archives.append(archive.read_bytes())
+        assert archives[0] == archives[1]
 
     def test_experiment_command(self, capsys):
         assert main(["experiment", "sec42", "--scenario", "tiny"]) == 0

@@ -98,6 +98,27 @@ class TestVrpSetAndRepository:
             repository.at(datetime.date(2021, 1, 1))
         assert repository.at(datetime.date(2022, 6, 1)) is not None
 
+    def test_snapshot_builder_runs_once_on_first_lookup(self):
+        built = []
+
+        def build():
+            built.append(1)
+            return VrpSet([Roa(p("5.5.0.0/16"), 1)])
+
+        repository = RpkiRepository()
+        repository.add_snapshot_builder(datetime.date(2022, 1, 1), build)
+        repository.add_snapshot(datetime.date(2023, 1, 1), VrpSet())
+        assert built == []
+        assert len(repository) == 2
+        first = repository.at(datetime.date(2022, 6, 1))
+        assert repository.at(datetime.date(2022, 1, 1)) is first
+        assert repository.validate(p("5.5.0.0/16"), 1, datetime.date(2022, 2, 1)) is (
+            RovStatus.VALID
+        )
+        assert built == [1]
+        with pytest.raises(ValueError):
+            repository.add_snapshot(datetime.date(2022, 1, 1), VrpSet())
+
 
 class TestPairStatus:
     @pytest.mark.parametrize(
