@@ -574,10 +574,15 @@ def _cmd_detect_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.reporting.experiments import run_experiment
+    from repro.reporting.experiments import EXPERIMENTS, run_experiment
     from repro.synth import build_universe
 
-    universe = build_universe(args.scenario)
+    # Both arguments are checked before the universe is generated.
+    if args.experiment_id not in EXPERIMENTS:
+        _usage_error(
+            f"unknown experiment {args.experiment_id!r}; known: {sorted(EXPERIMENTS)}"
+        )
+    universe = build_universe(_scenario_config(args.scenario))
     result = run_experiment(args.experiment_id, universe)
     print(result.title)
     print("=" * len(result.title))

@@ -33,11 +33,12 @@ from repro.dates import STUDY_END, STUDY_START, month_range, second_wednesday
 from repro.determinism import (
     key_bytes,
     stable_hash,
-    stable_hash_from,
     stable_prefix,
     stable_sample_count,
     stable_uniform,
     stable_weighted_choice,
+    uniform_threshold,
+    unpack_u64,
 )
 from repro.dns.toplists import Toplist
 from repro.nettypes.addr import IPV4, IPV6
@@ -525,11 +526,14 @@ class _ServiceBuilder:
         (Returned as date.max sentinel-free: caller stores date or None.)
 
         Month by month this is ``stable_uniform(seed, "adopt", name, y, m)
-        < ds_adoption_monthly``, with the key prefix hashed once."""
+        < ds_adoption_monthly``, with the key prefix hashed once and each
+        draw compared as an integer (:func:`uniform_threshold`)."""
         prefix = stable_prefix(self.seed, "adopt", name)
-        monthly = self.config.ds_adoption_monthly
+        threshold = uniform_threshold(self.config.ds_adoption_monthly)
         for adopted, suffix in _ADOPTION_DRAWS:
-            if stable_hash_from(prefix, suffix) / 2**64 < monthly:
+            state = prefix.copy()
+            state.update(suffix)
+            if unpack_u64(state.digest())[0] < threshold:
                 return adopted
         return None
 

@@ -29,9 +29,10 @@ from repro.dates import REFERENCE_DATE, month_range
 from repro.determinism import (
     key_bytes,
     stable_hash,
-    stable_hash_from,
     stable_prefix,
     stable_uniform,
+    uniform_threshold,
+    unpack_u64,
 )
 from repro.dns.openintel import DnsSnapshot, SnapshotSeries
 from repro.dns.records import ResourceRecord
@@ -68,7 +69,11 @@ _CHURN_DATES: tuple[datetime.date, ...] = tuple(
 #: Hash-key suffixes of a churn schedule's draws: the event count, then
 #: one month index per event.
 _COUNT_SUFFIX = key_bytes("count")
-_index_suffix = functools.cache(key_bytes)
+
+
+@functools.cache
+def _index_suffixes(count: int) -> tuple[bytes, ...]:
+    return tuple(map(key_bytes, range(count)))
 
 
 class _SmallCache:
@@ -148,17 +153,22 @@ class Universe:
         cached = self._churn_cache.get(key)
         if cached is not None:
             return cached
-        # Each draw hashes (seed, kind, name, family, <"count" | index>).
+        # Each draw hashes (seed, kind, name, family, <"count" | index>);
+        # the count draw is stable_uniform(...) < expected - count, as
+        # an integer compare (uniform_threshold).
         prefix = stable_prefix(self.config.seed, kind, name, family)
         months = len(_CHURN_DATES)
         expected = monthly_probability * months
         count = int(expected)
-        if stable_hash_from(prefix, _COUNT_SUFFIX) / 2**64 < expected - count:
+        state = prefix.copy()
+        state.update(_COUNT_SUFFIX)
+        if unpack_u64(state.digest())[0] < uniform_threshold(expected - count):
             count += 1
-        picks = {
-            stable_hash_from(prefix, _index_suffix(index)) % months
-            for index in range(count)
-        }
+        picks = set()
+        for suffix in _index_suffixes(count):
+            state = prefix.copy()
+            state.update(suffix)
+            picks.add(unpack_u64(state.digest())[0] % months)
         dates = [_CHURN_DATES[i] for i in sorted(picks)]
         self._churn_cache[key] = dates
         return dates
@@ -306,11 +316,24 @@ class Universe:
         self._zone_cache.put(when, zone)
         return zone
 
-    def _build_zone(self, when: datetime.date) -> Zone:
+    def _build_zone(
+        self, when: datetime.date, names: frozenset[str] | None = None
+    ) -> Zone:
+        """The zone on *when*: every domain's records, or with *names*
+        only the address and CNAME records of domains whose name or
+        alias is in *names* (plus the monitoring domain).  MX records
+        answer no A/AAAA query, and a domain with MX records always has
+        an address record too."""
         zone = Zone()
         exchange_cache: dict[int, list[str]] = {}
         for spec in self.fabric.domains.values():
             if spec.created > when:
+                continue
+            if (
+                names is not None
+                and spec.name not in names
+                and spec.alias not in names
+            ):
                 continue
             v4, v6 = self.addresses_for(spec, when)
             for address in v4:
@@ -321,7 +344,8 @@ class Universe:
                 zone.add(ResourceRecord.cname(spec.alias, spec.name))
             deployment = self.fabric.deployment_of(spec)
             if (
-                deployment is not None
+                names is None
+                and deployment is not None
                 and deployment.service_profile in ("mail", "mixed")
                 and (v4 or v6)
             ):
@@ -379,14 +403,23 @@ class Universe:
     # -- measurement ---------------------------------------------------------------------
 
     def snapshot_at(self, when: datetime.date) -> DnsSnapshot:
+        """The measurement run on *when*: the query set resolved over
+        the records it can reach.
+
+        The resolver reads only the records of a queried name and of
+        CNAME targets.  Every generated CNAME is ``alias -> name`` of
+        one domain, and no alias is another domain's name, so the zone
+        of the domains whose name or alias is queried answers every
+        query as the full :meth:`zone_at` zone does.
+        """
         cached = self._snapshot_cache.get(when)
         if cached is not None:
             return cached
-        zone = self.zone_at(when)
-        # The zone has a span of its own; this one is the query set and
-        # the measurement run.
+        with trace("synth.zone"):
+            queried = self.queried_names_at(when)
+            zone = self._build_zone(when, frozenset(queried))
         with trace("synth.snapshot"):
-            snapshot = DnsSnapshot.measure(zone, self.queried_names_at(when), when)
+            snapshot = DnsSnapshot.measure(zone, queried, when)
         self._snapshot_cache.put(when, snapshot)
         return snapshot
 

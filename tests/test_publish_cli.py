@@ -15,6 +15,7 @@ from repro.dates import REFERENCE_DATE
 from repro.nettypes.prefix import Prefix
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+_BAD_JACCARD = "--min-jaccard must be within [0, 1]"
 
 
 def _run_cli(argv, **env):
@@ -154,19 +155,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["detect", "--tune", "nonsense"])
 
+    # One row per bad argument, of any subcommand.
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--scenario", "nope"], "unknown scenario 'nope'"),
-            (["--tune", "abc"], "invalid --tune value 'abc'"),
-            (["--tune", "28"], "invalid --tune value '28'"),
-            (["--min-jaccard", "7"], "--min-jaccard must be within [0, 1]"),
-            (["--min-jaccard", "-0.5"], "--min-jaccard must be within [0, 1]"),
-            (["--min-jaccard", "nan"], "--min-jaccard must be within [0, 1]"),
+            (["detect", "--scenario", "nope"], "unknown scenario 'nope'"),
+            (["detect", "--tune", "abc"], "invalid --tune value 'abc'"),
+            (["detect", "--tune", "28"], "invalid --tune value '28'"),
+            (["detect", "--min-jaccard", "7"], _BAD_JACCARD),
+            (["detect", "--min-jaccard", "-0.5"], _BAD_JACCARD),
+            (["detect", "--min-jaccard", "nan"], _BAD_JACCARD),
+            (["experiment", "nope"], "unknown experiment 'nope'"),
+            (["experiment", "fig05", "--scenario", "nope"], "unknown scenario 'nope'"),
         ],
     )
     def test_detect_usage_error_exits_2_with_one_line(self, argv, message):
-        result = _run_cli(["detect", *argv])
+        result = _run_cli(argv)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.count("\n") == 1, result.stderr

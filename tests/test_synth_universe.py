@@ -3,19 +3,25 @@
 import datetime
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.dates import REFERENCE_DATE, snapshot_dates
+from repro.dates import REFERENCE_DATE, STUDY_START, second_wednesday, snapshot_dates
 from repro.determinism import (
+    key_bytes,
     stable_choice,
     stable_hash,
     stable_sample_count,
     stable_uniform,
     stable_weighted_choice,
+    uniform_threshold,
 )
+from repro.dns.openintel import DnsSnapshot
+from repro.dns.toplists import FR_CCTLD_ADDED
 from repro.nettypes.addr import IPV4, IPV6, is_reserved
 from repro.synth import build_universe, scenario
 from repro.synth.addressplan import AddressPlan
-from repro.synth.entities import DeploymentTier, HostingMode
+from repro.synth.entities import DeploymentTier, HostingMode, VisibilityPattern
 from repro.synth.scenarios import SCENARIOS, ScenarioConfig
 from repro.synth.topology import MONITORING_DOMAIN
 
@@ -60,6 +66,27 @@ class TestDeterminism:
         assert stable_sample_count(10, 0.0, "k") == 0
         assert stable_sample_count(10, 1.0, "k") == 10
         assert 0 <= stable_sample_count(10, 0.5, "k") <= 10
+
+    def test_key_bytes_layout(self):
+        # Per part: repr as UTF-8, then a 0x1F separator; any part count.
+        for count in range(20):
+            parts = tuple(("é", count, (1, "x"), None)[i % 4] for i in range(count))
+            expected = b"".join(repr(p).encode("utf-8") + b"\x1f" for p in parts)
+            assert key_bytes(*parts) == expected
+
+    @given(
+        p=st.floats(min_value=0.0, max_value=1.0),
+        pick=st.sampled_from(["zero", -2, -1, 0, 1, 2, "max"]),
+    )
+    def test_uniform_threshold_matches_float_draw(self, p, pick):
+        threshold = uniform_threshold(p)
+        if pick == "zero":
+            h = 0
+        elif pick == "max":
+            h = 2**64 - 1
+        else:
+            h = min(max(threshold + pick, 0), 2**64 - 1)
+        assert (h < threshold) == (h / 2**64 < p)
 
     def test_universe_rebuild_identical(self):
         a = build_universe("tiny")
@@ -238,6 +265,41 @@ class TestDynamics:
 
         records = zone.records(spec.alias, RRType.CNAME)
         assert len(records) == 1 and records[0].target == spec.name
+
+    def test_no_alias_is_a_domain_name(self, universe):
+        # snapshot_at's restricted zone relies on this: a CNAME owner
+        # never coincides with another domain's records.
+        specs = list(universe.fabric.domains.values())
+        aliases = {s.alias for s in specs if s.alias is not None}
+        assert aliases
+        assert aliases.isdisjoint(universe.fabric.domains)
+        assert MONITORING_DOMAIN not in aliases
+        assert all(s.alias in (None, f"www.{s.name}") for s in specs)
+
+    def test_snapshot_equals_measurement_over_full_zone(self, universe):
+        oneshot = next(
+            s
+            for s in universe.fabric.domains.values()
+            if s.pattern is VisibilityPattern.ONESHOT
+            and s.created <= second_wednesday(*s.oneshot_month)
+            and (s.alias or s.name)
+            in universe.queried_names_at(second_wednesday(*s.oneshot_month))
+        )
+        dates = [
+            REFERENCE_DATE,
+            second_wednesday(*STUDY_START),
+            second_wednesday(2022, 7),
+            second_wednesday(*oneshot.oneshot_month),
+        ]
+        assert dates[2] < FR_CCTLD_ADDED
+        for date in dates:
+            full = DnsSnapshot.measure(
+                universe.zone_at(date), universe.queried_names_at(date), date
+            )
+            restricted = universe.snapshot_at(date)
+            assert restricted.date == full.date
+            assert list(restricted.observations()) == list(full.observations())
+            assert len(full) > 0
 
     def test_host_inventory(self, universe):
         inventory = universe.host_inventory(REFERENCE_DATE)
